@@ -1,4 +1,5 @@
-// Ablation bench — the design choices DESIGN.md calls out:
+// Ablation bench — the design choices README's "Departures from the paper"
+// calls out:
 //
 //  1. Con-Index value: SQMB+TBS vs ES (no Con-Index at all).
 //  2. Buffer-pool capacity sweep: query I/O under memory pressure

@@ -13,8 +13,6 @@
 #include "roadnet/city_generator.h"
 #include "roadnet/expansion.h"
 #include "roadnet/segment_grid.h"
-#include "search/expansion_context.h"
-#include "search/frontier_engine.h"
 #include "storage/posting_store.h"
 #include "util/flat_hash.h"
 #include "util/rng.h"
@@ -271,42 +269,6 @@ void BM_FlatGridWithinRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FlatGridWithinRadius);
-
-// --- Frontier expansion: legacy per-segment vectors vs flat CSR -----------
-// The FrontierEngine inner loop with the layout knob off vs on (prefetch
-// rides along with the CSR walk, matching the executor's csr profile).
-
-void RunExpansionBench(benchmark::State& state, bool flat) {
-  const GridFixture& fx = SharedGrid();
-  const RoadNetwork& net = fx.city.network;
-  SpeedFn speeds = FreeFlowSpeeds(net);
-  FrontierRuntime runtime;
-  runtime.flat_adjacency = flat;
-  runtime.prefetch = flat;
-  FrontierEngine engine(net, runtime);
-  ExpansionContext ctx;
-  Rng rng(31);
-  const double budget = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    SegmentId src =
-        static_cast<SegmentId>(rng.UniformInt(0, net.NumSegments() - 1));
-    FrontierEngine::TimedRequest request;
-    request.sources = std::span<const SegmentId>(&src, 1);
-    request.budget = budget;
-    engine.RunTimed(ctx, request, speeds);
-    benchmark::DoNotOptimize(ctx.reached().size());
-  }
-}
-
-void BM_NetworkExpansionLegacy(benchmark::State& state) {
-  RunExpansionBench(state, /*flat=*/false);
-}
-BENCHMARK(BM_NetworkExpansionLegacy)->Arg(300)->Arg(1200);
-
-void BM_NetworkExpansionCsr(benchmark::State& state) {
-  RunExpansionBench(state, /*flat=*/true);
-}
-BENCHMARK(BM_NetworkExpansionCsr)->Arg(300)->Arg(1200);
 
 void BM_SortedIntersects(benchmark::State& state) {
   Rng rng(17);

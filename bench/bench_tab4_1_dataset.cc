@@ -2,8 +2,8 @@
 //
 // Prints the synthetic stand-in dataset's statistics next to the paper's
 // Shenzhen values. Absolute scale is deliberately smaller (single-machine
-// reproduction; see DESIGN.md §2); the table records both so the scale
-// factor is explicit.
+// reproduction; see README, "Departures from the paper": "Synthetic data");
+// the table records both so the scale factor is explicit.
 #include <cinttypes>
 #include <cstdio>
 

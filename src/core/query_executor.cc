@@ -457,7 +457,7 @@ StatusOr<RegionResult> QueryExecutor::ExecutePlan(const QueryPlan& plan,
       case QueryStrategy::kIndexed:
         return ExecuteIndexed(plan, view);
       case QueryStrategy::kExhaustive:
-        return ExecuteExhaustive(plan, view);
+        return ExecuteExhaustive(plan);
       case QueryStrategy::kRepeatedS:
         return ExecuteRepeatedS(plan, view);
     }
@@ -497,14 +497,10 @@ StatusOr<RegionResult> QueryExecutor::RunTraceBack(
     result.segments.clear();
   } else {
     TraceBackOptions tbs_opt;
-    tbs_opt.flat_adjacency = options_.interior_flat_adjacency;
     if (options_.parallel_tbs && interior_pool_ != nullptr) {
       tbs_opt.pool = interior_pool_.get();
       tbs_opt.workers = options_.interior_workers;
     }
-    tbs_opt.shard_owner = options_.shard_owner;
-    tbs_opt.shard_pools = options_.shard_pools;
-    tbs_opt.home_shard = options_.home_shard;
     tbs_opt.min_parallel_ring = options_.min_parallel_ring;
     STRR_ASSIGN_OR_RETURN(
         TbsOutcome tbs,
@@ -534,14 +530,6 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
     search_opt.runtime.pool = interior_pool_.get();
     search_opt.runtime.workers = options_.interior_workers;
   }
-  // Layout knobs apply to sequential and parallel interiors alike; the
-  // engine falls back to the legacy walk when the network has no CSR.
-  search_opt.runtime.flat_adjacency = options_.interior_flat_adjacency;
-  search_opt.runtime.prefetch = options_.interior_prefetch;
-  search_opt.runtime.locality_chunking = options_.interior_locality_chunking;
-  search_opt.runtime.shard_owner = options_.shard_owner;
-  search_opt.runtime.shard_pools = options_.shard_pools;
-  search_opt.runtime.home_shard = options_.home_shard;
   search_opt.runtime.min_parallel_frontier = options_.min_parallel_frontier;
   BoundingRegions regions;
   if (plan.IsMultiLocation()) {
@@ -569,12 +557,12 @@ StatusOr<RegionResult> QueryExecutor::ExecuteIndexed(const QueryPlan& plan,
 }
 
 StatusOr<RegionResult> QueryExecutor::ExecuteExhaustive(
-    const QueryPlan& plan, const IndexView& view) {
+    const QueryPlan& plan) {
   ScopedIoCounters io_scope;
   SQuery query{plan.locations[0], plan.start_tod, plan.duration, plan.prob};
   STRR_ASSIGN_OR_RETURN(
       RegionResult result,
-      ExhaustiveSearch(*st_index_, *view.profile, query, delta_t_seconds_,
+      ExhaustiveSearch(*st_index_, query, delta_t_seconds_,
                        plan.location_starts[0]));
   result.stats.sum_wall_ms = result.stats.wall_ms;
   // ES computes stats.io as an engine-global delta (fine for its

@@ -93,19 +93,6 @@ struct QueryExecutorOptions {
   /// its interior without risking pool-against-itself starvation (interior
   /// tasks are pure compute and never block).
   int interior_workers = 1;
-  // --- Raw-speed interior layout (results bit-identical either way; see
-  // search/frontier_engine.h) ------------------------------------------------
-  /// Expand over the RoadNetwork's flat CSR adjacency view instead of the
-  /// per-segment vectors: one contiguous offsets+neighbors array walk per
-  /// expansion, no pointer chase per segment.
-  bool interior_flat_adjacency = false;
-  /// Software-prefetch successor label slots one edge ahead during gather.
-  /// Only meaningful on top of interior_flat_adjacency.
-  bool interior_prefetch = false;
-  /// Order parallel gather rounds by spatial cell so each worker's chunk
-  /// touches a contiguous label range (commit order is restored by stable
-  /// candidate tagging). Only affects interior_workers > 1.
-  bool interior_locality_chunking = false;
   /// Fan TBS ring verification across the interior pool (ring-order
   /// commit keeps results bit-identical; see query/trace_back.h). Only
   /// effective when interior_workers > 1.
@@ -159,19 +146,8 @@ struct QueryExecutorOptions {
   /// the executor creates its own registry (an engine-provided registry
   /// carries its own defaults).
   TenantConfig tenant_defaults;
-  // --- Sharded scatter-gather (set by src/shard/ EngineShard) ---------------
-  /// Dense per-segment shard owner table (ShardMap::owners). Together with
-  /// shard_pools this scatters cone gather rounds and TBS ring slices to
-  /// the owning shard's slice pool (see search/frontier_engine.h and
-  /// query/trace_back.h). The spans must outlive the executor; results
-  /// stay bit-identical.
-  std::span<const uint32_t> shard_owner;
-  /// One slice pool per shard, indexed by shard id.
-  std::span<ThreadPool* const> shard_pools;
-  /// The shard this executor serves (its slices run inline).
-  uint32_t home_shard = 0;
-  /// Minimum frontier size before a cone gather round fans out (parallel
-  /// or sharded); below it the round runs sequentially on the caller.
+  /// Minimum frontier size before a cone gather round fans out; below it
+  /// the round runs sequentially on the caller.
   size_t min_parallel_frontier = 128;
   /// Minimum TBS ring size before ring verification fans out.
   size_t min_parallel_ring = 16;
@@ -219,10 +195,9 @@ class QueryExecutor {
       std::span<const QueryPlan> plans);
 
   /// Executes one plan against an explicit index surface with NO front
-  /// door (no cache, no admission, no snapshot pin): the sharded serving
-  /// tier pins one snapshot at its coordinator and runs the plan on the
-  /// owning shard's executor against exactly that version. Null con_index
-  /// selects the engine-built statics (version-0 view).
+  /// door (no cache, no admission, no snapshot pin): a caller that already
+  /// pinned a snapshot runs the plan against exactly that version. Null
+  /// con_index selects the engine-built statics (version-0 view).
   StatusOr<RegionResult> ExecuteAgainst(const QueryPlan& plan,
                                         const ConIndex* con_index,
                                         const SpeedProfile* profile,
@@ -354,8 +329,7 @@ class QueryExecutor {
 
   StatusOr<RegionResult> ExecuteIndexed(const QueryPlan& plan,
                                         const IndexView& view);
-  StatusOr<RegionResult> ExecuteExhaustive(const QueryPlan& plan,
-                                           const IndexView& view);
+  StatusOr<RegionResult> ExecuteExhaustive(const QueryPlan& plan);
   StatusOr<RegionResult> ExecuteRepeatedS(const QueryPlan& plan,
                                           const IndexView& view);
 

@@ -6,13 +6,10 @@
 #include "live/recovery_manager.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "shard/shard_coordinator.h"
 #include "util/logging.h"
 
 namespace strr {
 
-// Out of line: the header only forward-declares ShardCoordinator, so
-// everything that needs its destructor lives here.
 ReachabilityEngine::ReachabilityEngine(const RoadNetwork& network,
                                        EngineOptions options)
     : network_(&network), options_(std::move(options)) {}
@@ -69,14 +66,12 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   st_opt.cache_policy = options.block_cache_tinylfu ? CachePolicy::kTinyLfu
                                                     : CachePolicy::kLru;
   st_opt.cache_protected_share = options.block_cache_protected_share;
-  st_opt.posting_bloom_bits_per_key = options.posting_bloom_bits_per_key;
   STRR_ASSIGN_OR_RETURN(engine->st_index_,
                         StIndex::Build(network, store, st_opt));
 
   ConIndexOptions con_opt;
   con_opt.delta_t_seconds = options.delta_t_seconds;
   con_opt.num_build_threads = options.build_threads;
-  con_opt.flat_interior = options.interior_flat_adjacency;
   STRR_ASSIGN_OR_RETURN(
       engine->con_index_,
       ConIndex::Create(network, *engine->profile_, con_opt));
@@ -122,9 +117,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
   exec_opt.num_threads = options.query_threads;
   exec_opt.parallel_mquery_legs = options.parallel_mquery_legs;
   exec_opt.interior_workers = options.interior_workers;
-  exec_opt.interior_flat_adjacency = options.interior_flat_adjacency;
-  exec_opt.interior_prefetch = options.interior_prefetch;
-  exec_opt.interior_locality_chunking = options.interior_locality_chunking;
   exec_opt.parallel_tbs = options.parallel_tbs;
   exec_opt.result_cache_entries = options.result_cache_entries;
   exec_opt.result_cache_shards = options.result_cache_shards;
@@ -224,19 +216,6 @@ StatusOr<std::unique_ptr<ReachabilityEngine>> ReachabilityEngine::Build(
         options.tenant_config_path, options.tenant_config_poll_ms));
   }
 
-  if (options.sharding.enabled()) {
-    engine->coordinator_ = engine->MakeShardCoordinator(options.sharding);
-    if (options.live_ingestion && !options.live_durability) {
-      // Per-shard live fan-in. Skipped under durability: the journal is
-      // single-writer, so the engine's single journaled ingestor stays
-      // authoritative and observations keep flowing through it.
-      ObservationIngestorOptions shard_ingest;
-      shard_ingest.queue_bound = options.live_queue_bound;
-      shard_ingest.batch_window_ms = options.live_batch_window_ms;
-      STRR_RETURN_IF_ERROR(
-          engine->coordinator_->EnableLiveIngestors(shard_ingest));
-    }
-  }
   return engine;
 }
 
@@ -248,13 +227,6 @@ std::unique_ptr<QueryExecutor> ReachabilityEngine::MakeExecutor(
                                          *profile_, options_.delta_t_seconds,
                                          options, live_manager_.get(),
                                          tenants_.get());
-}
-
-std::unique_ptr<ShardCoordinator> ReachabilityEngine::MakeShardCoordinator(
-    const ShardingOptions& options) const {
-  return std::make_unique<ShardCoordinator>(
-      *network_, *st_index_, *con_index_, *profile_,
-      options_.delta_t_seconds, options, live_manager_.get(), tenants_.get());
 }
 
 std::string ReachabilityEngine::NegativeKey(const XyPoint* locations,
@@ -297,9 +269,6 @@ StatusOr<RegionResult> ReachabilityEngine::PlanAndExecute(
     }
     return plan.status();
   }
-  // Sharded tier when enabled (bit-identical results; see src/shard/);
-  // the single executor otherwise.
-  if (coordinator_ != nullptr) return coordinator_->Execute(*plan);
   return executor_->Execute(*plan);
 }
 
@@ -345,11 +314,6 @@ void ReachabilityEngine::ResetIoStats(bool drop_cache) {
 void ReachabilityEngine::ApplySpeedObservation(SegmentId seg,
                                                int64_t time_of_day_sec,
                                                double speed_mps) {
-  if (coordinator_ != nullptr && coordinator_->has_ingestors()) {
-    coordinator_->OfferObservation(
-        SpeedObservation{seg, time_of_day_sec, speed_mps});
-    return;
-  }
   if (ingestor_ != nullptr) {
     // Live path: enqueue for the batcher; the refresh lands as the next
     // published snapshot version, safe under concurrent queries.
@@ -364,9 +328,6 @@ void ReachabilityEngine::ApplySpeedObservation(SegmentId seg,
 
 bool ReachabilityEngine::OfferObservation(
     const SpeedObservation& observation) {
-  if (coordinator_ != nullptr && coordinator_->has_ingestors()) {
-    return coordinator_->OfferObservation(observation);
-  }
   if (ingestor_ == nullptr) return false;
   return ingestor_->Offer(observation);
 }

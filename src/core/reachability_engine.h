@@ -40,13 +40,10 @@
 #include "query/bounding_region.h"
 #include "query/query.h"
 #include "query/query_plan.h"
-#include "shard/shard_options.h"
 #include "traj/trajectory_store.h"
 #include "util/result.h"
 
 namespace strr {
-
-class ShardCoordinator;
 
 /// Engine construction knobs.
 struct EngineOptions {
@@ -72,12 +69,6 @@ struct EngineOptions {
   /// QueryExecutorOptions::interior_workers). <= 1 keeps the paper's
   /// sequential interior.
   int interior_workers = 1;
-  /// Raw-speed interior layout (results bit-identical either way; see
-  /// QueryExecutorOptions). flat_adjacency also flows into Con-Index
-  /// table builds (ConIndexOptions::flat_interior).
-  bool interior_flat_adjacency = false;
-  bool interior_prefetch = false;
-  bool interior_locality_chunking = false;
   /// Parallel TBS ring verification on the interior pool (bit-identical;
   /// see query/trace_back.h). Needs interior_workers > 1.
   bool parallel_tbs = false;
@@ -125,15 +116,6 @@ struct EngineOptions {
   std::string tenant_config_path;
   /// Poll interval for tenant_config_path mtime checks.
   int64_t tenant_config_poll_ms = 200;
-  // --- Sharded serving tier (src/shard/; off by default — the engine
-  // then serves through its single executor exactly as before) ----------------
-  /// Partition the network into sharding.num_shards engine shards behind
-  /// a scatter-gather ShardCoordinator with a shard-shared result cache
-  /// and engine-global tenant quota arbitration. Results stay
-  /// bit-identical to the unsharded executor. Facade queries route
-  /// through the coordinator when enabled; executor() remains available
-  /// and unsharded.
-  ShardingOptions sharding;
   // --- Live ingestion (see live/; off by default so paper-reproduction
   // numbers are untouched — queries then read the engine-built indexes
   // directly with zero snapshot overhead) ------------------------------------
@@ -189,9 +171,6 @@ struct EngineOptions {
   /// of plain LRU (scan-resistant; per-role metric labels).
   bool block_cache_tinylfu = false;
   double block_cache_protected_share = 0.8;
-  /// Bloom doorkeeper over ST-Index posting keys: cold-start point probes
-  /// for traffic-less (segment, slot) pairs skip the store. 0 disables.
-  int posting_bloom_bits_per_key = 0;
   /// Location match radius for planning (see
   /// StIndexOptions::max_locate_distance_m); <= 0 restores unconditional
   /// snap-to-nearest.
@@ -264,17 +243,6 @@ class ReachabilityEngine {
   /// it.
   std::unique_ptr<QueryExecutor> MakeExecutor(
       const QueryExecutorOptions& options) const;
-
-  /// Builds a standalone sharded serving tier over this engine's indexes
-  /// (the bench's shard-count sweep uses this; the facade's own
-  /// coordinator comes from EngineOptions::sharding). Snapshot-pinning
-  /// and quota arbitration wire up exactly as the built-in coordinator's.
-  /// The engine must outlive it.
-  std::unique_ptr<ShardCoordinator> MakeShardCoordinator(
-      const ShardingOptions& options) const;
-
-  /// The built-in sharded serving tier, or nullptr when sharding is off.
-  ShardCoordinator* shard_coordinator() { return coordinator_.get(); }
 
   // --- Introspection ---------------------------------------------------------
 
@@ -356,8 +324,6 @@ class ReachabilityEngine {
   TenantRegistry* tenant_registry() { return tenants_.get(); }
 
  private:
-  // Out of line (with the destructor): members include a
-  // unique_ptr<ShardCoordinator> over a forward declaration.
   ReachabilityEngine(const RoadNetwork& network, EngineOptions options);
 
   /// Negative-cache key for a location set (NotFound depends only on the
@@ -392,10 +358,6 @@ class ReachabilityEngine {
   // Constructed after (and destroyed before) the indexes they reference.
   std::unique_ptr<QueryPlanner> planner_;
   std::unique_ptr<QueryExecutor> executor_;
-  /// Sharded serving tier (null when EngineOptions::sharding is off).
-  /// Declared last: destroyed first, while every index and pool it
-  /// references is still alive.
-  std::unique_ptr<ShardCoordinator> coordinator_;
 };
 
 }  // namespace strr

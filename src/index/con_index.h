@@ -10,7 +10,8 @@
 // the modified INE of the paper. Because travel speeds are profiled at a
 // coarser granularity (hourly by default) than Δt, connection tables are
 // materialized per *profile slot* and shared by the Δt steps inside it —
-// the substitution is documented in DESIGN.md and keeps the table count
+// the substitution is documented in README ("Departures from the paper":
+// "Con-Index tables per profile slot") and keeps the table count
 // (and memory) bounded while preserving the time-varying behaviour.
 //
 // Tables are built lazily and memoized by default (BuildAll precomputes);
@@ -37,12 +38,6 @@ class FrontierEngine;    // search/frontier_engine.h
 struct ConIndexOptions {
   int64_t delta_t_seconds = 300;  ///< Δt: expansion budget per hop
   int num_build_threads = 4;      ///< BuildAll parallelism
-  /// Build tables over the network's flat CSR adjacency view (with
-  /// prefetch) instead of the per-segment vectors. Tables are
-  /// bit-identical either way (see search/frontier_engine.h); this only
-  /// changes build speed. Falls back to legacy when the network carries
-  /// no CSR.
-  bool flat_interior = false;
 };
 
 /// Connection tables. Thread-safe, including the lazy build path:

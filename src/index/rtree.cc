@@ -329,7 +329,6 @@ std::vector<uint32_t> RTree::Nearest(const XyPoint& p, size_t k) const {
 
 namespace {
 bool CheckNode(const RTree::Node* node, bool is_root, size_t max_entries) {
-  using Node = RTree::Node;
   size_t count = node->leaf ? node->entries.size() : node->children.size();
   if (count > max_entries) return false;
   if (!is_root && count < max_entries / 2 && count > 0) {

@@ -120,7 +120,6 @@ StatusOr<std::unique_ptr<StIndex>> StIndex::Build(
   store_options.page_size = options.page_size;
   store_options.cache_policy = options.cache_policy;
   store_options.cache_protected_share = options.cache_protected_share;
-  store_options.bloom_bits_per_key = options.posting_bloom_bits_per_key;
   store_options.role = "posting";
   STRR_ASSIGN_OR_RETURN(index->postings_,
                         PostingStore::Open(options.posting_path,

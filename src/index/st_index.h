@@ -47,9 +47,6 @@ struct StIndexOptions {
   /// scan-resistant cache; the metric series are labeled role="posting").
   CachePolicy cache_policy = CachePolicy::kLru;
   double cache_protected_share = 0.8;
-  /// Bloom doorkeeper over posting keys: point probes for (segment, slot)
-  /// pairs with no traffic skip the store entirely. 0 disables.
-  int posting_bloom_bits_per_key = 0;
 };
 
 /// Per-day trajectory-ID lists for one (segment, slot): time_lists[d] is
@@ -111,10 +108,6 @@ class StIndex {
   const RTree& rtree() const { return rtree_; }
   const BPlusTree& temporal_tree() const { return temporal_; }
   uint64_t NumPostings() const { return postings_->NumEntries(); }
-  /// Absent-key probes the posting bloom doorkeeper short-circuited.
-  uint64_t PostingBloomNegatives() const {
-    return postings_->BloomNegatives();
-  }
   const RoadNetwork& network() const { return *network_; }
 
  private:

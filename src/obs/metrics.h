@@ -215,7 +215,7 @@ class MetricsRegistry {
   /// name coexist; the exporters emit one `# TYPE` line per base name and
   /// splice histogram `le` labels into the series' own label set. Handles
   /// are stable exactly like the unlabeled ones; hot sites cache the
-  /// handle per (tenant, shard) instead of re-rendering the suffix.
+  /// handle per label value instead of re-rendering the suffix.
   using Labels = std::vector<std::pair<std::string, std::string>>;
   Counter& GetCounter(const std::string& name, const Labels& labels);
   Gauge& GetGauge(const std::string& name, const Labels& labels);

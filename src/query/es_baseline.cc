@@ -10,15 +10,13 @@
 namespace strr {
 
 StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
-                                        const SpeedProfile& profile,
                                         const SQuery& query, int64_t delta_t) {
   STRR_ASSIGN_OR_RETURN(SegmentId r0, st_index.LocateSegment(query.location));
-  return ExhaustiveSearch(st_index, profile, query, delta_t,
+  return ExhaustiveSearch(st_index, query, delta_t,
                           LocationSegmentSet(st_index.network(), r0));
 }
 
 StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
-                                        const SpeedProfile& profile,
                                         const SQuery& query, int64_t delta_t,
                                         const std::vector<SegmentId>& starts) {
   if (query.prob <= 0.0 || query.prob > 1.0) {
@@ -39,7 +37,6 @@ StatusOr<RegionResult> ExhaustiveSearch(const StIndex& st_index,
   std::vector<ExpansionHit> cone =
       ExpandFromMany(network, starts, static_cast<double>(query.duration),
                      FreeFlowSpeeds(network), nullptr);
-  (void)profile;
 
   STRR_ASSIGN_OR_RETURN(
       ReachabilityProbability oracle,

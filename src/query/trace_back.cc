@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <span>
-
-#include "roadnet/csr_graph.h"
 
 namespace strr {
 
@@ -52,14 +49,6 @@ StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
     }
   }
 
-  const CsrAdjacency* csr =
-      options.flat_adjacency ? network.csr() : nullptr;
-  auto neighbors_of = [&](SegmentId r) -> std::span<const SegmentId> {
-    if (csr != nullptr) return csr->Neighbors(r);
-    const std::vector<SegmentId>& nb = network.NeighborsOf(r);
-    return {nb.data(), nb.size()};
-  };
-
   // The FIFO queue of the sequential formulation is processed strictly
   // ring by ring (ring k+1 is produced entirely by ring k), so verifying a
   // whole ring concurrently and committing in ring order replays the
@@ -70,48 +59,7 @@ StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
   std::vector<double> probs;
   while (!ring.empty()) {
     probs.assign(ring.size(), 0.0);
-    const bool shard_fan =
-        options.sharded() && ring.size() >= options.min_parallel_ring;
-    const bool fan = !shard_fan && options.parallel() &&
-                     ring.size() >= options.min_parallel_ring;
-    if (shard_fan) {
-      // Sharded scatter: bucket ring indices by owning shard; each bucket
-      // verifies on its owner's slice pool (home inline). probs[] slots
-      // are disjoint across buckets and the commit below still walks the
-      // ring in order, so the outcome matches the sequential walk exactly.
-      const size_t num_shards = options.shard_pools.size();
-      const uint32_t home = std::min(
-          options.home_shard, static_cast<uint32_t>(num_shards - 1));
-      std::vector<std::vector<uint32_t>> buckets(num_shards);
-      for (size_t i = 0; i < ring.size(); ++i) {
-        buckets[options.shard_owner[ring[i]]].push_back(
-            static_cast<uint32_t>(i));
-      }
-      auto verify_indices =
-          [&](const std::vector<uint32_t>& indices) -> Status {
-        for (uint32_t i : indices) {
-          STRR_ASSIGN_OR_RETURN(double p, prob_oracle.Probability(ring[i]));
-          probs[i] = p;
-        }
-        return Status::OK();
-      };
-      std::vector<std::future<Status>> joins;
-      joins.reserve(num_shards - 1);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (s == home || buckets[s].empty()) continue;
-        joins.push_back(options.shard_pools[s]->Submit(
-            [&verify_indices, &buckets, s]() -> Status {
-              return verify_indices(buckets[s]);
-            }));
-      }
-      Status st = verify_indices(buckets[home]);
-      // Join every worker before surfacing an error (no dangling refs).
-      for (auto& j : joins) {
-        Status ws = j.get();
-        if (st.ok() && !ws.ok()) st = ws;
-      }
-      if (!st.ok()) return st;
-    } else if (fan) {
+    if (options.parallel() && ring.size() >= options.min_parallel_ring) {
       const size_t chunks =
           std::min(static_cast<size_t>(options.workers), ring.size());
       const size_t per = (ring.size() + chunks - 1) / chunks;
@@ -157,7 +105,7 @@ StatusOr<TbsOutcome> TraceBackSearch(const RoadNetwork& network,
       ++out.segments_failed;
       // Trace back: enqueue unvisited neighbours inside the max region but
       // outside the minimum bounding region (Algorithm 2, line 9).
-      for (SegmentId nb : neighbors_of(r)) {
+      for (SegmentId nb : network.NeighborsOf(r)) {
         if (!in_max[nb] || in_min[nb] || visited[nb]) continue;
         visited[nb] = 1;
         next_ring.push_back(nb);

@@ -1,7 +1,8 @@
 // CityGenerator: deterministic synthetic metropolis.
 //
-// Substitute for the Shenzhen road map (see DESIGN.md §2). Produces a road
-// network with the topological features the paper's evaluation depends on:
+// Substitute for the Shenzhen road map (see README, "Departures from the
+// paper": "Synthetic data"). Produces a road network with the topological
+// features the paper's evaluation depends on:
 //   * a dense grid of arterial and local streets,
 //   * a ring highway plus radial highways into the centre,
 //   * three speed classes, a mix of one-way and two-way streets,

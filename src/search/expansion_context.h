@@ -49,11 +49,6 @@ struct FrontierCandidate {
   SegmentId target = kInvalidSegment;
   SegmentId aux = kInvalidSegment;
   SegmentId parent = kInvalidSegment;
-  /// Position of the producing frontier member in the round's frontier
-  /// array. Locality-chunked gathers visit members out of order; the
-  /// commit phase sorts candidates by `pos` to restore the exact
-  /// contiguous-chunk commit order (bit-identity contract).
-  uint32_t pos = 0;
   double time = 0.0;
 };
 
@@ -85,13 +80,6 @@ class ExpansionContext {
   /// profile slot a member last expanded under; the parallel timed mode
   /// stores frontier-dedup round ids.
   int32_t Mark(SegmentId s) const { return Seen(s) ? mark_[s] : -1; }
-
-  /// Prefetches the stamp and label slots for `s` — the two arrays every
-  /// relaxation reads first. A pure scheduling hint (no effect on results).
-  void PrefetchSlot(SegmentId s) const {
-    PrefetchRead(stamp_.data() + s);
-    PrefetchRead(label_.data() + s);
-  }
 
   /// Stamps `s` (label=inf, origin/parent invalid, mark -1) if untouched.
   void Touch(SegmentId s) {
@@ -145,10 +133,6 @@ class ExpansionContext {
   /// buffers are kept alive (and reused) across rounds.
   std::vector<FrontierCandidate>& worker_buffer(size_t worker);
   void EnsureWorkerBuffers(size_t workers);
-  /// Scratch for locality-aware chunking: the cell-sorted permutation of
-  /// the frontier and the merged commit buffer. Reused across rounds.
-  std::vector<uint32_t>& permutation() { return permutation_; }
-  std::vector<FrontierCandidate>& commit_buffer() { return commit_buffer_; }
 
  private:
   using HeapEntry = std::pair<double, SegmentId>;
@@ -168,8 +152,6 @@ class ExpansionContext {
   std::vector<SegmentId> next_frontier_;
   std::vector<SegmentId> members_;
   std::vector<std::vector<FrontierCandidate>> worker_buffers_;
-  std::vector<uint32_t> permutation_;
-  std::vector<FrontierCandidate> commit_buffer_;
 };
 
 /// Thread-safe bounded free list of contexts. All search consumers go

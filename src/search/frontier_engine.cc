@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "roadnet/csr_graph.h"
 #include "util/time_util.h"
 
 namespace strr {
@@ -43,65 +42,11 @@ int NumHops(int64_t duration, int64_t delta_t) {
   return k < 1 ? 1 : k;
 }
 
-// --- Adjacency policies -----------------------------------------------------
-//
-// The hot loops are templated over one of these so the legacy path keeps
-// its exact code shape (no per-edge branch) and the CSR path streams flat
-// arrays. Both expose the same neighbor order and compute the same float
-// expressions, so the choice cannot change results.
-
-struct LegacyAdjacency {
-  const RoadNetwork* net;
-  const std::vector<SegmentId>& Out(SegmentId s) const {
-    return net->OutgoingOf(s);
-  }
-  double Cost(SegmentId next, double sp) const {
-    return net->segment(next).TravelTimeSeconds(sp);
-  }
-};
-
-struct FlatAdjacency {
-  const CsrAdjacency* csr;
-  std::span<const SegmentId> Out(SegmentId s) const { return csr->Out(s); }
-  // Callers check sp > 0 before Cost, so this is the identical expression
-  // RoadSegment::TravelTimeSeconds evaluates on the sp > 0 branch.
-  double Cost(SegmentId next, double sp) const {
-    return csr->length(next) / sp;
-  }
-};
-
-/// Sorts `perm` (indices into `frontier`) by spatial cell so one gather
-/// chunk works road-network-close segments. Ties keep frontier order, so
-/// the permutation is deterministic.
-void BuildLocalityPermutation(const CsrAdjacency& csr,
-                              const std::vector<SegmentId>& frontier,
-                              std::vector<uint32_t>& perm) {
-  perm.resize(frontier.size());
-  for (uint32_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  std::sort(perm.begin(), perm.end(), [&](uint32_t a, uint32_t b) {
-    const uint32_t ra = csr.cell_rank(frontier[a]);
-    const uint32_t rb = csr.cell_rank(frontier[b]);
-    if (ra != rb) return ra < rb;
-    return a < b;
-  });
-}
-
-/// Restores the sequential commit order after a permuted gather: ascending
-/// producing-frontier position. Candidates of one position are contiguous
-/// in one worker's buffer (list order); stable_sort keeps them that way.
-void SortCandidatesByPos(std::vector<FrontierCandidate>& cands) {
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const FrontierCandidate& a, const FrontierCandidate& b) {
-                     return a.pos < b.pos;
-                   });
-}
-
 // --- Timed expansion interiors ----------------------------------------------
 
-template <bool kPrefetch, typename Adj>
 void SequentialLoop(ExpansionContext& ctx,
                     const FrontierEngine::TimedRequest& request,
-                    const SpeedFn& speed, const Adj& adj,
+                    const SpeedFn& speed, const RoadNetwork& net,
                     SearchMetrics* metrics) {
   uint64_t pops = 0, expanded = 0;
   double t;
@@ -113,14 +58,10 @@ void SequentialLoop(ExpansionContext& ctx,
     if (s == request.stop_at) break;  // settled; Dijkstra guarantees optimal
     const SegmentId org =
         request.track_origin ? ctx.Origin(s) : kInvalidSegment;
-    const auto& nexts = adj.Out(s);
-    if constexpr (kPrefetch) {
-      for (SegmentId nxt : nexts) ctx.PrefetchSlot(nxt);
-    }
-    for (SegmentId next : nexts) {
+    for (SegmentId next : net.OutgoingOf(s)) {
       double sp = speed(next);
       if (sp <= 0.0) continue;
-      double t2 = t + adj.Cost(next, sp);
+      double t2 = t + net.segment(next).TravelTimeSeconds(sp);
       if (t2 > request.budget) continue;
       double cur = ctx.Label(next);
       if (t2 < cur) {
@@ -152,32 +93,24 @@ void SequentialLoop(ExpansionContext& ctx,
   RecordSearchCounters(pops, expanded, 0);
 }
 
-/// Gathers relaxation candidates for permuted frontier slots [begin, end)
-/// into `out`. Read-only against shared ctx state (commit happens between
-/// phases). `perm` == nullptr walks the frontier in order.
-template <bool kPrefetch, typename Adj>
+/// Gathers relaxation candidates for frontier slots [begin, end) into
+/// `out`. Read-only against shared ctx state (commit happens between
+/// phases).
 void GatherTimed(const ExpansionContext& ctx,
                  const FrontierEngine::TimedRequest& request,
-                 const SpeedFn& speed, const Adj& adj,
-                 const std::vector<SegmentId>& frontier, const uint32_t* perm,
-                 size_t begin, size_t end,
-                 std::vector<FrontierCandidate>& out) {
+                 const SpeedFn& speed, const RoadNetwork& net,
+                 const std::vector<SegmentId>& frontier, size_t begin,
+                 size_t end, std::vector<FrontierCandidate>& out) {
   out.clear();
-  for (size_t j = begin; j < end; ++j) {
-    const uint32_t i =
-        perm != nullptr ? perm[j] : static_cast<uint32_t>(j);
+  for (size_t i = begin; i < end; ++i) {
     SegmentId u = frontier[i];
     const double lu = ctx.Label(u);
     const SegmentId org =
         request.track_origin ? ctx.Origin(u) : kInvalidSegment;
-    const auto& nexts = adj.Out(u);
-    if constexpr (kPrefetch) {
-      for (SegmentId nxt : nexts) ctx.PrefetchSlot(nxt);
-    }
-    for (SegmentId nxt : nexts) {
+    for (SegmentId nxt : net.OutgoingOf(u)) {
       double sp = speed(nxt);
       if (sp <= 0.0) continue;
-      double t2 = lu + adj.Cost(nxt, sp);
+      double t2 = lu + net.segment(nxt).TravelTimeSeconds(sp);
       if (t2 > request.budget) continue;
       double cur = ctx.Label(nxt);
       if (t2 > cur) continue;
@@ -187,17 +120,15 @@ void GatherTimed(const ExpansionContext& ctx,
             (request.track_parent && u < ctx.Parent(nxt));
         if (!could_improve) continue;
       }
-      out.push_back(FrontierCandidate{nxt, org, u, i, t2});
+      out.push_back(FrontierCandidate{nxt, org, u, t2});
     }
   }
 }
 
-template <bool kPrefetch, typename Adj>
 void ParallelLoop(ExpansionContext& ctx,
                   const FrontierEngine::TimedRequest& request,
-                  const SpeedFn& speed, const Adj& adj,
-                  const FrontierRuntime& runtime,
-                  const CsrAdjacency* locality_csr, SearchMetrics* metrics) {
+                  const SpeedFn& speed, const RoadNetwork& net,
+                  const FrontierRuntime& runtime, SearchMetrics* metrics) {
   const double width = runtime.bucket_width_seconds > 0.0
                            ? runtime.bucket_width_seconds
                            : std::max(request.budget / 48.0, 1e-9);
@@ -244,17 +175,9 @@ void ParallelLoop(ExpansionContext& ctx,
     while (!frontier.empty()) {
       expanded += frontier.size();
       size_t chunks = 1;
-      bool permuted = false;
       if (frontier.size() >= runtime.min_parallel_frontier && workers > 1) {
         ++rounds;
         chunks = std::min(workers, frontier.size());
-        const uint32_t* perm = nullptr;
-        if (locality_csr != nullptr) {
-          BuildLocalityPermutation(*locality_csr, frontier,
-                                   ctx.permutation());
-          perm = ctx.permutation().data();
-          permuted = true;
-        }
         const size_t per = (frontier.size() + chunks - 1) / chunks;
         std::vector<std::future<int>> joins;
         joins.reserve(chunks - 1);
@@ -262,21 +185,19 @@ void ParallelLoop(ExpansionContext& ctx,
           size_t begin = c * per;
           size_t end = std::min(begin + per, frontier.size());
           joins.push_back(runtime.pool->Submit(
-              [&ctx, &request, &speed, &adj, &frontier, perm, begin, end,
+              [&ctx, &request, &speed, &net, &frontier, begin, end,
                c]() -> int {
-                GatherTimed<kPrefetch>(ctx, request, speed, adj, frontier,
-                                       perm, begin, end,
-                                       ctx.worker_buffer(c));
+                GatherTimed(ctx, request, speed, net, frontier, begin, end,
+                            ctx.worker_buffer(c));
                 return 0;
               }));
         }
-        GatherTimed<kPrefetch>(ctx, request, speed, adj, frontier, perm, 0,
-                               std::min(per, frontier.size()),
-                               ctx.worker_buffer(0));
+        GatherTimed(ctx, request, speed, net, frontier, 0,
+                    std::min(per, frontier.size()), ctx.worker_buffer(0));
         for (auto& j : joins) j.get();
       } else {
-        GatherTimed<kPrefetch>(ctx, request, speed, adj, frontier, nullptr,
-                               0, frontier.size(), ctx.worker_buffer(0));
+        GatherTimed(ctx, request, speed, net, frontier, 0, frontier.size(),
+                    ctx.worker_buffer(0));
       }
 
       ++wave;
@@ -315,23 +236,9 @@ void ParallelLoop(ExpansionContext& ctx,
           next.push_back(cand.target);
         }
       };
-      if (permuted) {
-        // Locality-chunked gathers produce candidates out of frontier
-        // order; merge and restore ascending-position order so the commit
-        // is exactly the sequential one.
-        std::vector<FrontierCandidate>& merged = ctx.commit_buffer();
-        merged.clear();
-        for (size_t c = 0; c < chunks; ++c) {
-          const std::vector<FrontierCandidate>& b = ctx.worker_buffer(c);
-          merged.insert(merged.end(), b.begin(), b.end());
-        }
-        SortCandidatesByPos(merged);
-        for (const FrontierCandidate& cand : merged) commit_one(cand);
-      } else {
-        for (size_t c = 0; c < chunks; ++c) {
-          for (const FrontierCandidate& cand : ctx.worker_buffer(c)) {
-            commit_one(cand);
-          }
+      for (size_t c = 0; c < chunks; ++c) {
+        for (const FrontierCandidate& cand : ctx.worker_buffer(c)) {
+          commit_one(cand);
         }
       }
       frontier.swap(next);
@@ -378,62 +285,11 @@ void FrontierEngine::RunTimed(ExpansionContext& ctx,
   const bool parallel = runtime_.parallel() &&
                         request.budget < kUnreachedLabel &&
                         request.stop_at == kInvalidSegment;
+  SeedSources(ctx, request, speed);
   if (parallel) {
-    RunTimedParallel(ctx, request, speed, metrics);
+    ParallelLoop(ctx, request, speed, *network_, runtime_, metrics);
   } else {
-    RunTimedSequential(ctx, request, speed, metrics);
-  }
-}
-
-void FrontierEngine::RunTimedSequential(ExpansionContext& ctx,
-                                        const TimedRequest& request,
-                                        const SpeedFn& speed,
-                                        SearchMetrics* metrics) const {
-  SeedSources(ctx, request, speed);
-  const CsrAdjacency* csr = network_->csr();
-  if (runtime_.flat_adjacency && csr != nullptr) {
-    FlatAdjacency adj{csr};
-    if (runtime_.prefetch) {
-      SequentialLoop<true>(ctx, request, speed, adj, metrics);
-    } else {
-      SequentialLoop<false>(ctx, request, speed, adj, metrics);
-    }
-  } else {
-    LegacyAdjacency adj{network_};
-    if (runtime_.prefetch) {
-      SequentialLoop<true>(ctx, request, speed, adj, metrics);
-    } else {
-      SequentialLoop<false>(ctx, request, speed, adj, metrics);
-    }
-  }
-}
-
-void FrontierEngine::RunTimedParallel(ExpansionContext& ctx,
-                                      const TimedRequest& request,
-                                      const SpeedFn& speed,
-                                      SearchMetrics* metrics) const {
-  SeedSources(ctx, request, speed);
-  const CsrAdjacency* csr = network_->csr();
-  const CsrAdjacency* locality =
-      runtime_.locality_chunking ? csr : nullptr;
-  if (runtime_.flat_adjacency && csr != nullptr) {
-    FlatAdjacency adj{csr};
-    if (runtime_.prefetch) {
-      ParallelLoop<true>(ctx, request, speed, adj, runtime_, locality,
-                         metrics);
-    } else {
-      ParallelLoop<false>(ctx, request, speed, adj, runtime_, locality,
-                          metrics);
-    }
-  } else {
-    LegacyAdjacency adj{network_};
-    if (runtime_.prefetch) {
-      ParallelLoop<true>(ctx, request, speed, adj, runtime_, locality,
-                         metrics);
-    } else {
-      ParallelLoop<false>(ctx, request, speed, adj, runtime_, locality,
-                          metrics);
-    }
+    SequentialLoop(ctx, request, speed, *network_, metrics);
   }
 }
 
@@ -475,11 +331,7 @@ std::vector<SegmentId> FrontierEngine::RunCone(
   ctx.Begin(n);
   const size_t workers =
       runtime_.parallel() ? static_cast<size_t>(runtime_.workers) : 1;
-  const size_t num_shards =
-      runtime_.sharded() ? runtime_.shard_pools.size() : 0;
-  ctx.EnsureWorkerBuffers(std::max(workers, num_shards));
-  const CsrAdjacency* locality =
-      runtime_.locality_chunking ? network_->csr() : nullptr;
+  ctx.EnsureWorkerBuffers(workers);
   std::vector<SegmentId>& members = ctx.members();
   for (SegmentId s : request.starts) {
     if (s < n && !ctx.Seen(s)) {
@@ -494,25 +346,22 @@ std::vector<SegmentId> FrontierEngine::RunCone(
   std::vector<SegmentId>& frontier = ctx.frontier();
   const int hops = NumHops(request.duration_seconds, request.delta_t_seconds);
 
-  // Gathers discoveries for permuted frontier slots [begin, end): for each
-  // member, every list entry not already in the cone (pre-step state) that
+  // Gathers discoveries for frontier slots [begin, end): for each member,
+  // every list entry not already in the cone (pre-step state) that
   // survives the filter. Read-only against ctx; the commit rechecks
   // membership in sequential discovery order, so intra-step duplicates
   // drop exactly as they would in a fully sequential walk.
   int64_t tod = 0;
-  auto gather = [&](const uint32_t* perm, size_t begin, size_t end,
+  auto gather = [&](size_t begin, size_t end,
                     std::vector<FrontierCandidate>& out) {
     out.clear();
-    for (size_t j = begin; j < end; ++j) {
-      const uint32_t i =
-          perm != nullptr ? perm[j] : static_cast<uint32_t>(j);
+    for (size_t i = begin; i < end; ++i) {
       SegmentId r = frontier[i];
       const SegmentId owner = ctx.Origin(r);
       for (SegmentId found : lists(r, tod)) {
         if (ctx.Seen(found)) continue;
         if (filter && !filter(owner, found)) continue;
-        out.push_back(
-            FrontierCandidate{found, owner, kInvalidSegment, i, 0.0});
+        out.push_back(FrontierCandidate{found, owner, kInvalidSegment, 0.0});
       }
     }
   };
@@ -538,66 +387,9 @@ std::vector<SegmentId> FrontierEngine::RunCone(
     obs::TraceSpan hop_span("cone_hop", frontier.size());
 
     size_t chunks = 1;
-    bool permuted = false;
-    if (num_shards > 1 &&
-        frontier.size() >= runtime_.min_parallel_frontier) {
-      // Sharded scatter: bucket this round's frontier slots by owning
-      // shard and run each bucket on the owner's slice pool (the home
-      // shard's bucket runs inline). The buckets fill ctx.permutation()
-      // with the original slot indices, so candidates keep their
-      // sequential `pos` and the permuted merge below restores the exact
-      // sequential commit order — bit-identity is unaffected by where a
-      // bucket physically ran.
-      ++rounds;
-      chunks = num_shards;
-      permuted = true;
-      const uint32_t home =
-          std::min(runtime_.home_shard,
-                   static_cast<uint32_t>(num_shards - 1));
-      std::vector<uint32_t>& perm = ctx.permutation();
-      perm.resize(frontier.size());
-      std::vector<size_t> offsets(num_shards + 1, 0);
-      for (SegmentId r : frontier) {
-        ++offsets[runtime_.shard_owner[r] + 1];
-      }
-      for (size_t s = 0; s < num_shards; ++s) offsets[s + 1] += offsets[s];
-      std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-      for (size_t i = 0; i < frontier.size(); ++i) {
-        perm[cursor[runtime_.shard_owner[frontier[i]]]++] =
-            static_cast<uint32_t>(i);
-      }
-      std::vector<std::future<int>> joins;
-      joins.reserve(num_shards - 1);
-      for (size_t s = 0; s < num_shards; ++s) {
-        if (s == home) continue;
-        size_t begin = offsets[s];
-        size_t end = offsets[s + 1];
-        if (begin == end) {
-          // A shard with no frontier members this round still contributes
-          // its (cleared) buffer to the merge; stale candidates from a
-          // previous round must not leak in.
-          ctx.worker_buffer(s).clear();
-          continue;
-        }
-        joins.push_back(runtime_.shard_pools[s]->Submit(
-            [&gather, &ctx, &perm, begin, end, s]() -> int {
-              gather(perm.data(), begin, end, ctx.worker_buffer(s));
-              return 0;
-            }));
-      }
-      gather(perm.data(), offsets[home], offsets[home + 1],
-             ctx.worker_buffer(home));
-      for (auto& j : joins) j.get();
-    } else if (frontier.size() >= runtime_.min_parallel_frontier &&
-               workers > 1) {
+    if (frontier.size() >= runtime_.min_parallel_frontier && workers > 1) {
       ++rounds;
       chunks = std::min(workers, frontier.size());
-      const uint32_t* perm = nullptr;
-      if (locality != nullptr) {
-        BuildLocalityPermutation(*locality, frontier, ctx.permutation());
-        perm = ctx.permutation().data();
-        permuted = true;
-      }
       const size_t per = (frontier.size() + chunks - 1) / chunks;
       std::vector<std::future<int>> joins;
       joins.reserve(chunks - 1);
@@ -605,38 +397,24 @@ std::vector<SegmentId> FrontierEngine::RunCone(
         size_t begin = c * per;
         size_t end = std::min(begin + per, frontier.size());
         joins.push_back(runtime_.pool->Submit(
-            [&gather, &ctx, perm, begin, end, c]() -> int {
-              gather(perm, begin, end, ctx.worker_buffer(c));
+            [&gather, &ctx, begin, end, c]() -> int {
+              gather(begin, end, ctx.worker_buffer(c));
               return 0;
             }));
       }
-      gather(perm, 0, std::min(per, frontier.size()), ctx.worker_buffer(0));
+      gather(0, std::min(per, frontier.size()), ctx.worker_buffer(0));
       for (auto& j : joins) j.get();
     } else {
-      gather(nullptr, 0, frontier.size(), ctx.worker_buffer(0));
+      gather(0, frontier.size(), ctx.worker_buffer(0));
     }
 
     // Ordered commit: (frontier position, list position) is exactly the
     // sequential discovery order, so the member sequence is identical.
-    auto commit_one = [&](const FrontierCandidate& cand) {
-      if (ctx.Seen(cand.target)) return;  // same-step duplicate
-      ctx.SetOrigin(cand.target, cand.aux);
-      members.push_back(cand.target);
-    };
-    if (permuted) {
-      std::vector<FrontierCandidate>& merged = ctx.commit_buffer();
-      merged.clear();
-      for (size_t c = 0; c < chunks; ++c) {
-        const std::vector<FrontierCandidate>& b = ctx.worker_buffer(c);
-        merged.insert(merged.end(), b.begin(), b.end());
-      }
-      SortCandidatesByPos(merged);
-      for (const FrontierCandidate& cand : merged) commit_one(cand);
-    } else {
-      for (size_t c = 0; c < chunks; ++c) {
-        for (const FrontierCandidate& cand : ctx.worker_buffer(c)) {
-          commit_one(cand);
-        }
+    for (size_t c = 0; c < chunks; ++c) {
+      for (const FrontierCandidate& cand : ctx.worker_buffer(c)) {
+        if (ctx.Seen(cand.target)) continue;  // same-step duplicate
+        ctx.SetOrigin(cand.target, cand.aux);
+        members.push_back(cand.target);
       }
     }
     if (members.size() > snapshot) {

@@ -96,38 +96,7 @@ struct FrontierRuntime {
   /// derives budget / 48.
   double bucket_width_seconds = 0.0;
 
-  // --- Raw-speed layout knobs (results bit-identical either way) ----------
-  /// Stream the network's flat CSR adjacency (offset/neighbor/length
-  /// arrays) instead of per-segment std::vector hops. Same neighbor order,
-  /// same float expressions — a pure layout change.
-  bool flat_adjacency = false;
-  /// Software-prefetch successor label slots ahead of each relaxation.
-  /// A scheduling hint only; no effect on results.
-  bool prefetch = false;
-  /// Partition parallel gather rounds by SegmentGrid cell (spatial
-  /// locality) instead of arrival order. Candidates are re-sorted to the
-  /// sequential commit order before applying, so results are unchanged.
-  bool locality_chunking = false;
-
-  // --- Sharded scatter-gather (src/shard/) ---------------------------------
-  /// Dense per-segment shard owner table (ShardMap::owners). When set
-  /// together with shard_pools, cone gather rounds are partitioned by the
-  /// owner of each frontier member and scattered to the owning shard's
-  /// slice pool instead of chunked across one pool. Candidates still merge
-  /// through the same ordered commit, so results are bit-identical — the
-  /// shard map only decides where a slice runs.
-  std::span<const uint32_t> shard_owner;
-  /// One slice pool per shard, indexed by shard id. Slice tasks are pure
-  /// gathers and never block, so cross-shard fan-out cannot deadlock.
-  std::span<ThreadPool* const> shard_pools;
-  /// The shard whose query pool is running this search; its slice of each
-  /// round runs inline on the calling thread.
-  uint32_t home_shard = 0;
-
   bool parallel() const { return pool != nullptr && workers > 1; }
-  bool sharded() const {
-    return shard_pools.size() > 1 && !shard_owner.empty();
-  }
 };
 
 /// Work counters for one search, summed across its expansions. These feed
@@ -218,11 +187,6 @@ class FrontierEngine {
   const FrontierRuntime& runtime() const { return runtime_; }
 
  private:
-  void RunTimedSequential(ExpansionContext& ctx, const TimedRequest& request,
-                          const SpeedFn& speed, SearchMetrics* metrics) const;
-  void RunTimedParallel(ExpansionContext& ctx, const TimedRequest& request,
-                        const SpeedFn& speed, SearchMetrics* metrics) const;
-
   /// Seeds sources into ctx with the canonical relax rule; pushes heap
   /// entries for reached sources.
   void SeedSources(ExpansionContext& ctx, const TimedRequest& request,

@@ -50,7 +50,7 @@ struct BufferPoolOptions {
   /// segment (clamped so probation keeps at least one frame).
   double protected_share = 0.8;
   /// Metric label for this pool's series ("" = the unlabeled series).
-  std::string role;
+  std::string role = {};
 };
 
 /// Page cache. Thread-safe.

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 
-#include "storage/bloom_filter.h"
 #include "util/serialize.h"
 
 namespace strr {
 
 namespace {
 constexpr uint64_t kMagic = 0x535452525053544fULL;  // "STRRPSTO"
-
-uint64_t MixKey(PostingKey key) {
-  // splitmix64 finalizer: keys pack (segment, slot) into adjacent bit
-  // ranges, the bloom probes want well-spread bits.
-  uint64_t x = key + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 }  // namespace
 
 // --- PostingStoreBuilder ----------------------------------------------------
@@ -216,28 +206,11 @@ StatusOr<std::unique_ptr<PostingStore>> PostingStore::Open(
     STRR_ASSIGN_OR_RETURN(uint32_t length, dr.GetU32());
     store->directory_[key] = Extent{offset, length};
   }
-  if (options.bloom_bits_per_key > 0) {
-    BloomFilterBuilder bloom(options.bloom_bits_per_key);
-    for (const auto& [key, extent] : store->directory_) {
-      bloom.AddHash(MixKey(key));
-    }
-    store->bloom_ = bloom.Build();
-  }
   store->file_->ResetStats();
   return store;
 }
 
-bool PostingStore::MayContain(PostingKey key) const {
-  if (bloom_.empty()) return true;
-  if (BloomMayContain(bloom_, MixKey(key))) return true;
-  bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
 StatusOr<std::string> PostingStore::Get(PostingKey key) const {
-  if (!MayContain(key)) {
-    return Status::NotFound("posting key " + std::to_string(key));
-  }
   auto it = directory_.find(key);
   if (it == directory_.end()) {
     return Status::NotFound("posting key " + std::to_string(key));

@@ -15,7 +15,6 @@
 #ifndef STRR_STORAGE_POSTING_STORE_H_
 #define STRR_STORAGE_POSTING_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,10 +81,6 @@ struct PostingStoreOptions {
   double cache_protected_share = 0.8;
   /// Metric-label role for the pool's series ("" = unlabeled).
   std::string role;
-  /// Build a bloom doorkeeper over the posting keys at open; lookups for
-  /// absent keys short-circuit on the filter before the directory probe.
-  /// 0 disables (seed behavior).
-  int bloom_bits_per_key = 0;
 };
 
 /// Read side. Thread-safe for concurrent Get calls: the immutable
@@ -100,26 +95,19 @@ class PostingStore {
       uint32_t page_size = kDefaultPageSize);
 
   /// Opens with full storage-engine knobs (block-cache policy, per-role
-  /// metric labels, bloom doorkeeper).
+  /// metric labels).
   static StatusOr<std::unique_ptr<PostingStore>> Open(
       const std::string& path, const PostingStoreOptions& options);
 
   /// Fetches the blob stored under `key`; NotFound when absent.
   StatusOr<std::string> Get(PostingKey key) const;
 
-  /// True when `key` exists (bloom doorkeeper, then directory; no I/O).
+  /// True when `key` exists (in-memory directory; no I/O).
   bool Contains(PostingKey key) const {
-    if (!MayContain(key)) return false;
     return directory_.find(key) != directory_.end();
   }
 
   uint64_t NumEntries() const { return directory_.size(); }
-
-  /// Lookups the bloom doorkeeper answered negatively (absent-key probes
-  /// that skipped the directory). 0 when the filter is off.
-  uint64_t BloomNegatives() const {
-    return bloom_negatives_.load(std::memory_order_relaxed);
-  }
 
   StorageStats stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
@@ -138,14 +126,9 @@ class PostingStore {
                std::unique_ptr<BufferPool> pool)
       : file_(std::move(file)), pool_(std::move(pool)) {}
 
-  /// Bloom probe (safe-true when the filter is off or malformed).
-  bool MayContain(PostingKey key) const;
-
   std::unique_ptr<FileManager> file_;
   std::unique_ptr<BufferPool> pool_;
   std::unordered_map<PostingKey, Extent> directory_;
-  std::string bloom_;  // doorkeeper over keys; empty = off
-  mutable std::atomic<uint64_t> bloom_negatives_{0};
   uint64_t data_start_ = 0;  // byte offset of the data region (page 1)
 };
 

@@ -1,7 +1,8 @@
 // FleetSimulator: synthetic taxi fleet over a road network.
 //
-// Substitute for the Shenzhen taxi dataset (see DESIGN.md §2). Each taxi
-// runs a daily schedule of origin→destination trips; routes come from an
+// Substitute for the Shenzhen taxi dataset (see README, "Departures from
+// the paper": "Synthetic data"). Each taxi runs a daily schedule of
+// origin→destination trips; routes come from an
 // A* router under free-flow speeds, but traversal speeds follow the
 // time-of-day CongestionModel plus per-trip noise, so rush hours genuinely
 // slow the fleet. Trips are drawn from a hotspot model (taxis concentrate

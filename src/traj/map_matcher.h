@@ -1,7 +1,7 @@
 // MapMatcher: HMM/Viterbi map-matching of raw GPS trajectories onto the
 // road network (the paper's pre-processing step, which cites the IVMM
 // matcher [29]; we implement the standard HMM formulation that fills the
-// same role — see DESIGN.md §2).
+// same role — see README, "Departures from the paper": "Synthetic data").
 //
 // States per GPS fix: candidate segments within a radius (via SegmentGrid).
 // Emission: Gaussian in the perpendicular distance from fix to segment.

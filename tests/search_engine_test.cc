@@ -4,12 +4,15 @@
 //  * the parallel-vs-sequential bit-identity oracle for timed (Dijkstra)
 //    expansion across randomized cities and tie-heavy uniform grids;
 //  * SQMB / MQMB parallel-interior bit-identity over a real engine stack;
+//  * parallel TBS: ring-fanned verification vs sequential, through the
+//    executor knobs so the wiring is covered too;
 //  * Con-Index parallel-build determinism (concurrent builders produce
 //    exactly the sequential lists);
 //  * ingest-driven prewarm (LiveProfileManager rebuilds partially
 //    invalidated tables in the background, bit-identical to lazy builds);
-//  * a concurrent query-x-ingest hammer over an interior-parallel
-//    executor (the TSan/ASan CI suite for the new subsystem).
+//  * a concurrent query-x-ingest hammer over an executor with a parallel
+//    interior and parallel TBS, checking context-pool reuse too (the
+//    TSan/ASan CI suite for the subsystem).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -309,6 +312,28 @@ TEST(BoundingSearchTest, ExecutorInteriorWorkersMatchSequential) {
   EXPECT_GT(fds.ctx_pool_acquires, 0u);
 }
 
+TEST(TraceBackTest, ParallelTbsMatchesSequentialAcrossProbabilities) {
+  // Low thresholds grow the trace-back rings (most segments fail), so the
+  // ring fan-out actually engages; high thresholds exercise the
+  // everything-qualifies early exit.
+  auto& stack = GetSharedStack();
+  auto sequential = stack.engine->MakeExecutor({.num_threads = 1});
+  auto parallel = stack.engine->MakeExecutor({.num_threads = 1,
+                                              .interior_workers = 4,
+                                              .parallel_tbs = true});
+  for (double prob : {0.05, 0.2, 0.6, 0.95}) {
+    SQuery q{stack.dataset.center, HMS(11), 900, prob};
+    auto plan = stack.engine->planner().PlanSQuery(q);
+    ASSERT_TRUE(plan.ok());
+    auto want = sequential->Execute(*plan);
+    auto got = parallel->Execute(*plan);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(want->segments, got->segments) << "prob " << prob;
+    EXPECT_EQ(want->stats.segments_verified, got->stats.segments_verified)
+        << "prob " << prob;
+  }
+}
+
 // --- Con-Index: parallel builds are deterministic ---------------------------
 
 TEST(ConIndexBuildTest, ConcurrentBuildersProduceSequentialLists) {
@@ -445,6 +470,7 @@ TEST(SearchConcurrencyTest, QueryIngestHammerWithParallelInterior) {
   opt.delta_t_seconds = 300;
   opt.query_threads = 2;
   opt.interior_workers = 3;
+  opt.parallel_tbs = true;
   opt.live_ingestion = true;
   opt.live_batch_window_ms = 2;
   opt.live_prewarm = true;
@@ -489,6 +515,10 @@ TEST(SearchConcurrencyTest, QueryIngestHammerWithParallelInterior) {
   stop.store(true);
   feeder.join();
   EXPECT_TRUE(ok.load());
+
+  // The SoA contexts must be recycled, not reallocated per query.
+  QueryExecutor::FrontDoorStats fds = engine.executor().front_door_stats();
+  EXPECT_GT(fds.ctx_pool_reuses, 0u);
 
   // Same version => bit-identical region (determinism under live load).
   auto again = engine.executor().Execute(*plan);
